@@ -554,22 +554,28 @@ double Simulator::run_once(int batch, bool cold) {
   return *std::max_element(clocks.begin(), clocks.end());
 }
 
-double Simulator::transform_time(int batch, bool cold) {
+const Simulator::Priced& Simulator::price(int batch, bool cold) {
   PARFFT_CHECK(batch >= 1, "batch must be positive");
-  const std::pair<int, bool> key{batch, cold};
+  const std::tuple<int, bool, double> key{batch, cold, nic_scale()};
   if (auto it = memo_.find(key); it != memo_.end()) return it->second;
-  double t;
+  Priced p;
   if (batch > 1 && cfg_.options.overlap_batches) {
-    t = overlapped_batch_time(
+    p.time = overlapped_batch_time(
         plan_, cfg_.device, cost_,
         cfg_.gpu_aware ? net::TransferMode::GpuAware
                        : net::TransferMode::Staged,
-        cfg_.flavor, batch);
+        cfg_.flavor, batch, {}, &p.profile);
   } else {
-    t = run_once(batch, cold);
+    p.time = run_once(batch, cold);
+    // Single-chunk execution: nothing leaves the device until the end.
+    p.profile.elems = {batch};
+    p.profile.frac = {1.0};
   }
-  memo_.emplace(key, t);
-  return t;
+  return memo_.emplace(key, std::move(p)).first->second;
+}
+
+double Simulator::transform_time(int batch, bool cold) {
+  return price(batch, cold).time;
 }
 
 double Simulator::plan_setup_time() {
@@ -577,29 +583,11 @@ double Simulator::plan_setup_time() {
 }
 
 BatchProfile Simulator::batch_profile(int batch) {
-  PARFFT_CHECK(batch >= 1, "batch must be positive");
-  if (auto it = profile_memo_.find(batch); it != profile_memo_.end())
-    return it->second;
-  BatchProfile profile;
-  if (batch > 1 && cfg_.options.overlap_batches) {
-    overlapped_batch_time(plan_, cfg_.device, cost_,
-                          cfg_.gpu_aware ? net::TransferMode::GpuAware
-                                         : net::TransferMode::Staged,
-                          cfg_.flavor, batch, {}, &profile);
-  } else {
-    // Single-chunk execution: nothing leaves the device until the end.
-    profile.elems = {batch};
-    profile.frac = {1.0};
-  }
-  profile_memo_.emplace(batch, profile);
-  return profile;
+  return price(batch, /*cold=*/false).profile;
 }
 
 void Simulator::set_nic_scale(double scale) {
-  if (scale == cost_.flowsim().nic_scale()) return;
   cost_.flowsim().set_nic_scale(scale);
-  memo_.clear();
-  profile_memo_.clear();
 }
 
 std::string csv_escape(const std::string& field) {

@@ -15,7 +15,7 @@
 #include <map>
 #include <ostream>
 #include <string>
-#include <utility>
+#include <tuple>
 #include <vector>
 
 #include "core/stages.hpp"
@@ -107,39 +107,47 @@ class Simulator {
   const SimConfig& config() const { return cfg_; }
   const StagePlan& plan() const { return plan_; }
 
-  /// Virtual time of one batched transform of `batch` 3-D FFTs. Honours
-  /// `cfg.options.overlap_batches` for batch > 1. `cold` additionally
-  /// charges the first-call FFT plan-setup spikes (gpusim::PlanCache);
-  /// the overlapped path models warm plans only, like simulate().
-  /// Memoized per (batch, cold).
+  /// Virtual time of one batched transform of `batch` 3-D FFTs at the
+  /// current link scale. Honours `cfg.options.overlap_batches` for
+  /// batch > 1. `cold` additionally charges the first-call FFT plan-setup
+  /// spikes (gpusim::PlanCache); the overlapped path models warm plans
+  /// only, like simulate(). Memoized per (batch, cold, nic_scale).
   double transform_time(int batch, bool cold = false);
 
   /// One-time extra virtual time a cold first transform pays for device
   /// FFT plan creation (= cold - warm cost of an unbatched transform).
   double plan_setup_time();
 
-  /// Delivery profile of a batched transform at the current link scale
-  /// (memoized). Batch 1 and the non-overlapped path deliver everything
-  /// at execution fraction 1; the overlapped path delivers per sub-chunk.
+  /// Delivery profile of a batched transform at the current link scale,
+  /// from the same memoized pricing as transform_time(batch). Batch 1 and
+  /// the non-overlapped path deliver everything at execution fraction 1;
+  /// the overlapped path delivers per sub-chunk.
   BatchProfile batch_profile(int batch);
 
   /// Degrades (or restores) the inter-node fabric this plan prices
   /// against: NIC and core link capacities scale by `scale` (rail-down on
-  /// a dual-rail machine = 0.5, healthy = 1). Clears the execution-time
-  /// memo when the scale actually changes, so subsequent transform_time()
-  /// calls reprice every exchange through the mutated FlowSim.
+  /// a dual-rail machine = 0.5, healthy = 1). FlowSim derives link
+  /// capacity from the scale on every solve, so prices are a pure
+  /// function of (batch, cold, scale) and the memo keeps entries for
+  /// every scale seen.
   void set_nic_scale(double scale);
   double nic_scale() const { return cost_.flowsim().nic_scale(); }
 
  private:
+  /// One memoized pricing: the transform time and the delivery profile
+  /// the same overlapped_batch_time() call produced.
+  struct Priced {
+    double time = 0;
+    BatchProfile profile;
+  };
+  const Priced& price(int batch, bool cold);
   double run_once(int batch, bool cold);
 
   SimConfig cfg_;
   StagePlan plan_;
   net::RankMap map_;
   net::CommCost cost_;
-  std::map<std::pair<int, bool>, double> memo_;
-  std::map<int, BatchProfile> profile_memo_;
+  std::map<std::tuple<int, bool, double>, Priced> memo_;
 };
 
 /// RFC 4180 CSV field quoting: fields containing commas, quotes or line

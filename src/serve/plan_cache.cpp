@@ -8,21 +8,10 @@
 namespace parfft::serve {
 
 double ServedPlan::exec_time(int batch, double nic_scale) {
-  const std::pair<int, double> key{batch, nic_scale};
-  if (auto it = exec_memo_.find(key); it != exec_memo_.end())
-    return it->second;
-  // `nic_scale` is a stored FaultPlan sentinel compared untouched, so
-  // equality against healthy (1.0) is exact by construction.
-  if (nic_scale != 1.0) sim_.set_nic_scale(nic_scale);  // parfft-lint: allow(float-eq)
+  sim_.set_nic_scale(nic_scale);
   const double t = sim_.transform_time(batch);
-  if (nic_scale != 1.0) sim_.set_nic_scale(1.0);  // parfft-lint: allow(float-eq)
-  exec_memo_.emplace(key, t);
+  sim_.set_nic_scale(1.0);
   return t;
-}
-
-double ServedPlan::setup_time() {
-  if (setup_ < 0) setup_ = sim_.plan_setup_time();
-  return setup_;
 }
 
 PlanCache::PlanCache(ClusterConfig cluster, std::size_t capacity,
@@ -42,7 +31,7 @@ PlanCache::Lookup PlanCache::acquire(const JobShape& shape) {
   ++misses_;
   if (capacity_ > 0 && entries_.size() >= capacity_) evict_one();
   auto plan = std::make_unique<ServedPlan>(shape, cluster_);
-  const double setup = plan->setup_time();
+  const double setup = plan->simulator().plan_setup_time();
   setup_charged_ += setup;
   lru_.push_front(key);
   auto [it, inserted] =
@@ -114,13 +103,15 @@ void PlanCache::evict_one() {
   // Cost-aware LRU: walk the `window_` least-recently-used keys and evict
   // the cheapest-to-recreate one, so a plan whose setup spike is large
   // outlives a run of cheap one-off shapes of equal staleness.
+  auto setup_of = [this](const std::string& key) {
+    return entries_.find(key)->second.plan->simulator().plan_setup_time();
+  };
   auto victim = std::prev(lru_.end());
-  double victim_setup =
-      entries_.find(*victim)->second.plan->setup_time();
+  double victim_setup = setup_of(*victim);
   auto it = victim;
   for (std::size_t i = 1; i < window_ && it != lru_.begin(); ++i) {
     --it;
-    const double setup = entries_.find(*it)->second.plan->setup_time();
+    const double setup = setup_of(*it);
     if (setup < victim_setup) {
       victim = it;
       victim_setup = setup;

@@ -25,8 +25,9 @@
 
 namespace parfft::serve {
 
-/// A resident plan: the reusable simulation handle of one shape plus
-/// memoized batched execution costs.
+/// A resident plan: the reusable simulation handle of one shape. Prices
+/// are memoized by the core::Simulator itself, keyed by link scale, so
+/// the plan holds no cost state of its own.
 class ServedPlan {
  public:
   ServedPlan(JobShape shape, const ClusterConfig& cluster)
@@ -37,28 +38,16 @@ class ServedPlan {
   /// Virtual time of executing `batch` coalesced requests as one batched
   /// transform with warm device plans (core's batch + overlap pipeline).
   /// `nic_scale` < 1 reprices every exchange against a degraded fabric
-  /// (FlowSim link state scaled; see FaultPlan::DegradeWindow); memoized
-  /// per (batch, scale), and the simulator is always restored to healthy
-  /// links afterwards.
+  /// (FlowSim link state scaled; see FaultPlan::DegradeWindow); the
+  /// simulator is always restored to healthy links afterwards, so every
+  /// other query on simulator() prices the healthy fabric.
   double exec_time(int batch, double nic_scale = 1.0);
-
-  /// One-time spike charged when the plan is created (cache miss): the
-  /// device FFT plan setup of every stage layout, priced by gpusim.
-  /// Memoized (eviction scans re-query it).
-  double setup_time();
-
-  /// Per-chunk delivery profile of a batched execution (healthy-fabric
-  /// schedule; crash crediting uses its work *fractions*, which barely
-  /// move under degradation).
-  core::BatchProfile profile(int batch) { return sim_.batch_profile(batch); }
 
   core::Simulator& simulator() { return sim_; }
 
  private:
   JobShape shape_;
   core::Simulator sim_;
-  std::map<std::pair<int, double>, double> exec_memo_;
-  double setup_ = -1;
 };
 
 /// Capacity-bounded plan cache with LRU + cost-aware eviction.

@@ -27,7 +27,7 @@ void ServeReport::write_json(std::ostream& os) const {
      << ",\"cancelled\":" << cancelled
      << ",\"rejected\":" << rejected << ",\"dropped\":" << dropped
      << ",\"aborted\":" << aborted << ",\"shed\":" << shed
-     << ",\"retries\":" << retries << ",\"hedges\":" << hedges
+     << ",\"retries\":" << retries
      << ",\"crashes\":" << crashes << ",\"batches\":" << batches;
   os << ",\"makespan\":" << makespan << ",\"busy_time\":" << busy_time
      << ",\"downtime\":" << downtime << ",\"throughput\":" << throughput

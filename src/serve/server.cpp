@@ -44,13 +44,11 @@ LatencySummary summarize_latencies(std::vector<double> samples) {
 void ServeReport::verify() const {
   PARFFT_CHECK(completed + failed + cancelled == offered,
                "serve report: completed + failed + cancelled != offered");
-  // Every terminal outcome was reached by some submission attempt; the
-  // attempt traffic (first submissions + retries + hedges) can only
-  // exceed the terminal count, never undershoot it.
-  PARFFT_CHECK(offered + retries + hedges >= completed + failed + cancelled,
-               "serve report: fewer attempts than terminal outcomes");
-  PARFFT_CHECK(admitted <= offered + retries,
-               "serve report: more primaries admitted than submitted");
+  // Every submission attempt (a first submission or a retry) is either
+  // admitted, dropped by a blackout or rejected by the queue limit.
+  PARFFT_CHECK(admitted + dropped + rejected == offered + retries,
+               "serve report: admitted + dropped + rejected != offered + "
+               "retries");
   PARFFT_CHECK(deadline_met <= completed,
                "serve report: deadline_met exceeds completions");
   PARFFT_CHECK(shed <= failed, "serve report: shed requests not all failed");
@@ -140,23 +138,14 @@ struct Server::Engine {
   std::size_t crash_idx = 0;
   double now = 0;
 
-  // Live submissions: an id is present while one of its copies is queued
-  // or executing, gone once terminal (completed or failed). At most one
-  // primary copy of an id exists at a time; hedged duplicates share the
-  // id and are collapsed at dispatch/completion. `attempt` detects stale
-  // hedge timers left over from an earlier attempt.
+  // Live submissions: an id is present while its one copy is queued or
+  // executing, gone once that attempt fails or the request is terminal.
   enum class State { Queued, Running };
-  struct Live {
-    State st;
-    int attempt;
-  };
-  std::map<std::uint64_t, Live> live;
+  std::map<std::uint64_t, State> live;
 
   // Pending resubmissions, ordered by fire time.
   std::set<std::pair<double, std::uint64_t>> retry_q;
   std::map<std::uint64_t, Request> retry_req;
-  // Pending hedge timers carry the request they would duplicate.
-  std::map<std::pair<double, std::uint64_t>, Request> hedge_q;
 
   Engine(Server& s, Workload& w)
       : srv(s),
@@ -207,16 +196,9 @@ struct Server::Engine {
     }
   }
 
-  void cancel_retry(std::uint64_t id) {
-    auto it = retry_req.find(id);
-    if (it == retry_req.end()) return;
-    retry_q.erase({it->second.arrival, id});
-    retry_req.erase(it);
-  }
-
   bool queued(std::uint64_t id) const {
     const auto it = live.find(id);
-    return it != live.end() && it->second.st == State::Queued;
+    return it != live.end() && it->second == State::Queued;
   }
 
   // External withdrawal of a queued request (the cluster router
@@ -226,13 +208,10 @@ struct Server::Engine {
   // keep an identical intern table.
   bool cancel_queued(std::uint64_t id, double t) {
     auto it = live.find(id);
-    if (it == live.end() || it->second.st != State::Queued) return false;
+    if (it == live.end() || it->second != State::Queued) return false;
     std::optional<Request> r = batcher.remove(id);
     PARFFT_ASSERT(r.has_value());
     live.erase(it);
-    cancel_retry(id);
-    for (auto h = hedge_q.begin(); h != hedge_q.end();)
-      h = h->first.second == id ? hedge_q.erase(h) : std::next(h);
     ++rep.cancelled;
     ++tenant_agg[r->tenant].cancelled;
     if (fl_cancelled == 0) fl_cancelled = tel.intern("cancelled");
@@ -244,7 +223,6 @@ struct Server::Engine {
 
   // Terminal failure or resubmission after a failed attempt at `t`.
   void fail_or_retry(const Request& r, double t) {
-    if (r.hedge) return;  // best-effort duplicate; the primary owns the outcome
     bool terminal = r.attempt >= retry.max_attempts;
     double when = 0;
     if (!terminal) {
@@ -286,7 +264,6 @@ struct Server::Engine {
     PARFFT_PARANOID_ASSERT(r.completion >= r.submitted);
     PARFFT_PARANOID_ASSERT(r.dispatch < 0 || r.completion >= r.dispatch);
     live.erase(r.id);
-    cancel_retry(r.id);  // a hedged duplicate may outrun its primary's retry
     rep.latencies.push_back(r.latency());
     waits.push_back(r.queue_wait());
     ++rep.completed;
@@ -344,24 +321,22 @@ struct Server::Engine {
     if (r.submitted < 0) {
       r.submitted = r.arrival;
       if (retry.deadline > 0) r.deadline = r.submitted + retry.deadline;
-      if (!r.hedge) ++tenant_agg[r.tenant].offered;
+      ++tenant_agg[r.tenant].offered;
     }
     if (faults.in_blackout(r.arrival)) {
-      if (!r.hedge) {
-        ++rep.dropped;
-        if (run) run->metrics.counter("serve/dropped").add(1);
-        tel.flight(r.arrival, 0.0, obs::Category::Fault, "blackout_drop",
-                   r.tenant, /*critical=*/true);
-        // The fault layer fired a blackout: freeze one flight dump per
-        // window, at the first drop that reveals it.
-        for (const BlackoutWindow& w : faults.blackouts()) {
-          if (r.arrival >= w.begin && r.arrival < w.end) {
-            if (w.begin > last_blackout_dump) {
-              last_blackout_dump = w.begin;
-              tel.dump_flight("blackout", r.arrival);
-            }
-            break;
+      ++rep.dropped;
+      if (run) run->metrics.counter("serve/dropped").add(1);
+      tel.flight(r.arrival, 0.0, obs::Category::Fault, "blackout_drop",
+                 r.tenant, /*critical=*/true);
+      // The fault layer fired a blackout: freeze one flight dump per
+      // window, at the first drop that reveals it.
+      for (const BlackoutWindow& w : faults.blackouts()) {
+        if (r.arrival >= w.begin && r.arrival < w.end) {
+          if (w.begin > last_blackout_dump) {
+            last_blackout_dump = w.begin;
+            tel.dump_flight("blackout", r.arrival);
           }
+          break;
         }
       }
       fail_or_retry(r, r.arrival);
@@ -370,25 +345,16 @@ struct Server::Engine {
     const bool full =
         cfg().queue_limit > 0 && batcher.pending() >= cfg().queue_limit;
     if (full) {
-      if (!r.hedge) {
-        ++rep.rejected;
-        if (run) run->metrics.counter("serve/rejected").add(1);
-      }
+      ++rep.rejected;
+      if (run) run->metrics.counter("serve/rejected").add(1);
       // Fail fast (and let the retry policy, if any, resubmit): a
       // closed-loop client's rejected request is over and the client
       // moves on to its next round.
       fail_or_retry(r, r.arrival);
       return;
     }
-    if (r.hedge) {
-      ++rep.hedges;
-      if (run) run->metrics.counter("serve/hedges").add(1);
-    } else {
-      ++rep.admitted;
-      live[r.id] = Live{State::Queued, r.attempt};
-      if (retry.hedge)
-        hedge_q.emplace(std::make_pair(r.arrival + retry.hedge_delay, r.id), r);
-    }
+    ++rep.admitted;
+    live[r.id] = State::Queued;
     const double arrival = r.arrival;
     batcher.push(std::move(r));
     tel.observe(sid_queue, arrival, static_cast<double>(batcher.pending()));
@@ -432,10 +398,13 @@ struct Server::Engine {
       advance_work(c.at);
       // Sub-chunks whose results streamed off the device before the crash
       // (the Fig. 13 pipeline delivers per chunk) still complete; the
-      // rest of the batch aborts mid-transform.
+      // rest of the batch aborts mid-transform. The profile is the
+      // healthy-fabric schedule even for a degraded batch: crediting uses
+      // only its work fractions, which barely move under degradation.
       int delivered = 0;
       if (c.at >= flight.setup_end)
-        delivered = flight.plan->profile(flight.batch.size())
+        delivered = flight.plan->simulator()
+                        .batch_profile(flight.batch.size())
                         .delivered(flight.work);
       for (int i = 0; i < flight.batch.size(); ++i) {
         Request& r = flight.batch.requests[static_cast<std::size_t>(i)];
@@ -443,10 +412,8 @@ struct Server::Engine {
           complete(r, c.at);
         } else {
           live.erase(r.id);
-          if (!r.hedge) {
-            ++rep.aborted;
-            if (run) run->metrics.counter("serve/aborted").add(1);
-          }
+          ++rep.aborted;
+          if (run) run->metrics.counter("serve/aborted").add(1);
           fail_or_retry(r, c.at);
         }
       }
@@ -458,10 +425,8 @@ struct Server::Engine {
     for (Batch& b : batcher.flush()) {
       for (Request& r : b.requests) {
         live.erase(r.id);
-        if (!r.hedge) {
-          ++rep.aborted;
-          if (run) run->metrics.counter("serve/aborted").add(1);
-        }
+        ++rep.aborted;
+        if (run) run->metrics.counter("serve/aborted").add(1);
         fail_or_retry(r, c.at);
       }
     }
@@ -482,7 +447,7 @@ struct Server::Engine {
     const double exec = look.plan->exec_time(b.size(), scale);
     for (Request& r : b.requests) {
       r.dispatch = now;
-      live[r.id].st = State::Running;
+      live[r.id] = State::Running;
     }
     flight.batch = std::move(b);
     flight.start = now;
@@ -561,27 +526,11 @@ struct Server::Engine {
       retry_req.erase(it);
       admit(std::move(r));
     }
-    while (!hedge_q.empty() && hedge_q.begin()->first.first <= now) {
-      auto node = hedge_q.extract(hedge_q.begin());
-      const Request& orig = node.mapped();
-      auto it = live.find(orig.id);
-      // Fire only while the copy this timer was armed for still waits in
-      // the queue; timers for dispatched/terminal/re-attempted requests
-      // are stale and drop out here.
-      if (it == live.end() || it->second.st != State::Queued ||
-          it->second.attempt != orig.attempt)
-        continue;
-      Request h = orig;
-      h.hedge = true;
-      h.arrival = node.key().first;
-      admit(std::move(h));
-    }
     if (up && !busy && !batcher.empty()) {
-      // No more company can arrive once arrivals, retries and hedges are
+      // No more company can arrive once arrivals and retries are
       // exhausted (closed-loop clients only re-submit on completion), so
       // waiting out max_delay would be pure idle time: drain.
-      const bool drain =
-          workload.exhausted() && retry_q.empty() && hedge_q.empty();
+      const bool drain = workload.exhausted() && retry_q.empty();
       while (!busy && !batcher.empty()) {
         Batch b = batcher.pop(now, drain);
         if (b.size() == 0) break;
@@ -589,14 +538,14 @@ struct Server::Engine {
         keep.reserve(b.requests.size());
         for (Request& r : b.requests) {
           auto it = live.find(r.id);
-          // Another copy of this id already ran (or runs now): collapse.
-          if (it == live.end() || it->second.st != State::Queued) continue;
+          // Each id has one copy, and a queued copy leaves the batcher only
+          // through this pop, cancel_queued() or a crash flush.
+          PARFFT_ASSERT(it != live.end() && it->second == State::Queued);
           if (cfg().shed_expired && r.deadline > 0 && now >= r.deadline) {
             // Deadline-aware shedding: executing an already-late request
             // wastes capacity the queue behind it needs. Terminal -- no
             // retry can beat a deadline that has passed.
             live.erase(it);
-            cancel_retry(r.id);
             ++rep.shed;
             ++rep.failed;
             TenantAgg& ta = tenant_agg[r.tenant];
@@ -613,7 +562,7 @@ struct Server::Engine {
             workload.on_complete(r, now);
             continue;
           }
-          it->second.st = State::Running;
+          it->second = State::Running;
           keep.push_back(r);
         }
         if (keep.empty()) continue;
@@ -643,8 +592,6 @@ struct Server::Engine {
     }
     if (auto t = workload.peek()) next = std::min(next, *t);
     if (!retry_q.empty()) next = std::min(next, retry_q.begin()->first);
-    if (!hedge_q.empty() && !batcher.empty())
-      next = std::min(next, hedge_q.begin()->first.first);
     if (up && !busy && !batcher.empty())
       next = std::min(next, std::max(now, batcher.next_deadline()));
     if (!up && work_pending) next = std::min(next, restart_at);
@@ -685,7 +632,7 @@ struct Server::Engine {
                                      : 0.0;
     rep.retry_amplification =
         rep.offered > 0
-            ? static_cast<double>(rep.offered + rep.retries + rep.hedges) /
+            ? static_cast<double>(rep.offered + rep.retries) /
                   static_cast<double>(rep.offered)
             : 0.0;
     rep.latency = summarize_latencies(rep.latencies);

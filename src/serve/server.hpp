@@ -7,7 +7,7 @@
 /// because every transform already spans all GPUs of the machine (the
 /// paper's one-rank-per-GPU placement). The event loop advances virtual
 /// time between its event sources -- workload arrivals, the batcher's
-/// max-delay deadline, the executor finishing, retry/hedge timers and
+/// max-delay deadline, the executor finishing, retry timers and
 /// the fault schedule -- and is fully deterministic for a given workload
 /// seed and FaultPlan.
 ///
@@ -124,8 +124,7 @@ struct TenantReport {
 /// `completed`, `failed`, or `cancelled` (completed + failed + cancelled
 /// == offered; cancelled is 0 outside the cluster tier's hedged
 /// failover). The attempt-level counters (rejected, dropped, aborted,
-/// shed, retries, hedges) describe the intermediate outcomes that led
-/// there.
+/// shed, retries) describe the intermediate outcomes that led there.
 struct ServeReport {
   std::uint64_t offered = 0;    ///< requests the workload generated
   std::uint64_t admitted = 0;   ///< submissions accepted past admission
@@ -140,7 +139,6 @@ struct ServeReport {
   std::uint64_t aborted = 0;    ///< requests lost to crashes (in flight or queued)
   std::uint64_t shed = 0;       ///< deadline-expired requests shed at dispatch
   std::uint64_t retries = 0;    ///< resubmissions scheduled by the retry policy
-  std::uint64_t hedges = 0;     ///< hedged duplicates enqueued
   std::uint64_t crashes = 0;    ///< executor crashes during the run
   std::uint64_t batches = 0;    ///< batched executions dispatched
 
@@ -154,7 +152,7 @@ struct ServeReport {
   std::uint64_t deadline_met = 0;  ///< completions within their deadline
   double utilization = 0;  ///< busy_time / makespan
   double mean_batch = 0;   ///< completed / batches
-  /// (first attempts + retries + hedges) / offered: how much extra
+  /// (first attempts + retries) / offered: how much extra
   /// submission traffic the fault/recovery behaviour generated.
   double retry_amplification = 0;
 
@@ -184,7 +182,8 @@ struct ServeReport {
 
   /// Throws parfft::Error if the report's conservation identities are
   /// broken: completed + failed + cancelled == offered (every request
-  /// terminal exactly once), attempt traffic >= terminals, deadline_met
+  /// terminal exactly once), admitted + dropped + rejected == offered +
+  /// retries (every submission attempt has one outcome), deadline_met
   /// <= completed, latency samples match completions, and the time
   /// aggregates are sane (0 <= busy_time <= makespan). Server::run()
   /// calls this before returning under PARFFT_PARANOID; callable
