@@ -17,15 +17,13 @@
 #include "common/random.hpp"
 #include "core/plan.hpp"
 #include "core/simulate.hpp"
-#include "json_parser.hpp"
+#include "json.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/session.hpp"
 #include "obs/tracer.hpp"
 
 using namespace parfft;
-using parfft::testjson::JValue;
-using parfft::testjson::JsonParser;
 
 namespace {
 
@@ -130,6 +128,25 @@ TEST(ChromeExport, JsonEscape) {
   EXPECT_EQ(obs::json_escape(std::string("\x01", 1)), "\\u0001");
 }
 
+// The parser the exporter tests (and perfdiff) rely on must reject every
+// spelling strtod accepts but JSON does not: a "-nan" metric once passed
+// the perf gate as "ok".
+TEST(JsonParser, RejectsWhatJsonForbids) {
+  for (const char* bad :
+       {"-nan", "nan", "-inf", "inf", "0x10", "+1", ".5", "1.", "01", "1e",
+        "1e999", "[1,]", "{\"a\":1,}", "[1] x", "\"open"}) {
+    EXPECT_THROW(json::Parser(bad).parse(), std::runtime_error) << bad;
+    json::Value v;
+    EXPECT_FALSE(json::parse(bad, v)) << bad;
+  }
+  const json::Value v = json::Parser(
+      R"({"a": [-0, 1.5e-3, 2E+2, true, null], "s": "x\"y"})").parse();
+  ASSERT_EQ(v.get("a")->arr.size(), 5u);
+  EXPECT_DOUBLE_EQ(v.get("a")->arr[1].num, 1.5e-3);
+  EXPECT_DOUBLE_EQ(v.get("a")->arr[2].num, 200.0);
+  EXPECT_EQ(v.string("s"), "x\"y");
+}
+
 TEST(ChromeExport, RoundTripsSpansAndCounters) {
   obs::RunTrace run("unit run", 7, 2, /*with_args=*/true);
   run.tracer.begin(0, obs::Category::Transform, "fft3d", 0.0,
@@ -143,15 +160,15 @@ TEST(ChromeExport, RoundTripsSpansAndCounters) {
 
   std::ostringstream os;
   obs::write_chrome_trace(os, {&run});
-  JValue doc = JsonParser(os.str()).parse();
+  json::Value doc = json::Parser(os.str()).parse();
 
-  const JValue* events = doc.find("traceEvents");
+  const json::Value* events = doc.get("traceEvents");
   ASSERT_NE(events, nullptr);
-  ASSERT_EQ(events->kind, JValue::Kind::Arr);
+  ASSERT_EQ(events->kind, json::Value::Kind::Array);
 
   int meta = 0, spans = 0, counters = 0;
   bool saw_pack = false, saw_args = false;
-  for (const JValue& e : events->arr) {
+  for (const json::Value& e : events->arr) {
     const std::string ph = e.string("ph");
     EXPECT_EQ(e.number("pid"), 7);
     if (ph == "M") {
@@ -167,7 +184,7 @@ TEST(ChromeExport, RoundTripsSpansAndCounters) {
         EXPECT_DOUBLE_EQ(e.number("tid"), 0);
       }
       if (e.string("name") == "fft3d") {
-        const JValue* args = e.find("args");
+        const json::Value* args = e.get("args");
         ASSERT_NE(args, nullptr);
         EXPECT_EQ(args->string("n"), "8x8x8");
         EXPECT_DOUBLE_EQ(args->number("batch"), 1.0);
@@ -398,7 +415,7 @@ TEST(SessionTest, DisabledConfigRecordsNothing) {
   EXPECT_EQ(s.runs().size(), 1u);
   std::ostringstream os;
   s.write_chrome(os);
-  EXPECT_NO_THROW(JsonParser(os.str()).parse());
+  EXPECT_NO_THROW(json::Parser(os.str()).parse());
 }
 
 // ---------------------------------------------------------------------------
@@ -411,10 +428,10 @@ TEST(ExportEdgeCases, EmptySessionWritesValidEmptyDocuments) {
   obs::Session s;
   std::ostringstream chrome;
   s.write_chrome(chrome);
-  JValue doc = JsonParser(chrome.str()).parse();
-  const JValue* events = doc.find("traceEvents");
+  json::Value doc = json::Parser(chrome.str()).parse();
+  const json::Value* events = doc.get("traceEvents");
   ASSERT_NE(events, nullptr);
-  ASSERT_EQ(events->kind, JValue::Kind::Arr);
+  ASSERT_EQ(events->kind, json::Value::Kind::Array);
   EXPECT_TRUE(events->arr.empty());
 
   std::ostringstream summary;
@@ -432,10 +449,10 @@ TEST(ExportEdgeCases, MetricsOnlyRunExports) {
 
   std::ostringstream os;
   obs::write_chrome_trace(os, {&run});
-  JValue doc = JsonParser(os.str()).parse();
-  const JValue* events = doc.find("traceEvents");
+  json::Value doc = json::Parser(os.str()).parse();
+  const json::Value* events = doc.get("traceEvents");
   ASSERT_NE(events, nullptr);
-  for (const JValue& e : events->arr)
+  for (const json::Value& e : events->arr)
     EXPECT_EQ(e.string("ph"), "M") << "span event in a span-less run";
 
   std::ostringstream summary;

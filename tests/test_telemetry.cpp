@@ -16,16 +16,13 @@
 #include <vector>
 
 #include "core/simulate.hpp"
-#include "json_parser.hpp"
+#include "json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "serve/server.hpp"
 
 namespace parfft::obs {
 namespace {
-
-using parfft::testjson::JsonParser;
-using parfft::testjson::JValue;
 
 // ----------------------------------------------------- log-linear histogram
 
@@ -302,13 +299,13 @@ TEST(FlightRecorder, ChromeDumpIsValidTrace) {
   r.record(0.3, 0.0, Category::Alert, c, -1, /*critical=*/true);
   std::ostringstream os;
   r.write_chrome(os, /*now=*/0.5, "flight: test");
-  JValue doc = JsonParser(os.str()).parse();
-  const JValue* events = doc.find("traceEvents");
+  json::Value doc = json::Parser(os.str()).parse();
+  const json::Value* events = doc.get("traceEvents");
   ASSERT_NE(events, nullptr);
-  ASSERT_EQ(events->kind, JValue::Kind::Arr);
+  ASSERT_EQ(events->kind, json::Value::Kind::Array);
   int spans = 0, meta = 0;
   bool saw_crash = false;
-  for (const JValue& e : events->arr) {
+  for (const json::Value& e : events->arr) {
     const std::string ph = e.string("ph");
     if (ph == "M") {
       ++meta;
@@ -430,17 +427,17 @@ TEST(TelemetryServe, SnapshotIsSeedReproducibleAndWellFormed) {
   const std::string second = snapshot_of();
   EXPECT_EQ(first, second) << "same seed -> byte-identical snapshot";
 
-  JValue doc = JsonParser(first).parse();
+  json::Value doc = json::Parser(first).parse();
   EXPECT_EQ(doc.string("schema"), "parfft-telemetry-v1");
-  const JValue* series = doc.find("series");
+  const json::Value* series = doc.get("series");
   ASSERT_NE(series, nullptr);
-  EXPECT_NE(series->find("serve/latency"), nullptr);
-  EXPECT_NE(series->find("serve/outcome"), nullptr);
-  const JValue* lat = series->find("serve/latency");
-  const JValue* windows = lat->find("windows");
+  EXPECT_NE(series->get("serve/latency"), nullptr);
+  EXPECT_NE(series->get("serve/outcome"), nullptr);
+  const json::Value* lat = series->get("serve/latency");
+  const json::Value* windows = lat->get("windows");
   ASSERT_NE(windows, nullptr);
   EXPECT_GE(windows->arr.size(), 2u) << "run spans several windows";
-  const JValue* slo = doc.find("slo");
+  const json::Value* slo = doc.get("slo");
   ASSERT_NE(slo, nullptr);
   EXPECT_EQ(slo->arr.size(), 3u) << "one monitor per tenant";
 }
@@ -478,8 +475,8 @@ TEST(TelemetryServe, AlertTimelineAndFlightDumpFollowInjectedCrash) {
     ASSERT_TRUE(in.good()) << path;
     std::stringstream buf;
     buf << in.rdbuf();
-    JValue doc = JsonParser(buf.str()).parse();
-    const JValue* events = doc.find("traceEvents");
+    json::Value doc = json::Parser(buf.str()).parse();
+    const json::Value* events = doc.get("traceEvents");
     ASSERT_NE(events, nullptr);
     EXPECT_GT(events->arr.size(), 1u);
     std::remove(path.c_str());

@@ -2,15 +2,14 @@
 /// Incremental finding cache. One whole-tree lint invocation reads every
 /// file (hashing needs the bytes anyway) but only re-runs the rule
 /// passes over files whose content hash changed; everything else reuses
-/// the cached findings and include facts. The cache is keyed under a
-/// configuration hash -- tool version, layers.def, accounting.def and
-/// the headers the counter index is extracted from -- so any change to
-/// the rules' inputs invalidates every record at once.
+/// the cached findings. The cache is keyed under a configuration hash --
+/// tool version, accounting.def and the headers the counter index is
+/// extracted from -- so any change to the rules' inputs invalidates every
+/// record at once.
 ///
 /// Format (tab-separated, one record per file):
 ///   parfft-lint-cache <version> <config-hash>
 ///   F <content-hash> <explicit 0|1> <path>
-///   I <line> <allow 0|1> <include-target>
 ///   V <line> <rule> <message>
 ///
 /// save() writes exactly the records of the files seen this run, so
@@ -25,7 +24,7 @@ namespace lint {
 
 namespace {
 constexpr const char* kMagic = "parfft-lint-cache";
-constexpr const char* kVersion = "v1";
+constexpr const char* kVersion = "v2";  // v1 also held include facts
 
 std::string hex(std::uint64_t v) {
   std::ostringstream os;
@@ -60,13 +59,6 @@ void Cache::load(const std::string& path, std::uint64_t config_hash) {
       cur = &loaded_[file];
       cur->hash = std::stoull(hash_s, nullptr, 16);
       cur->explicit_file = expl == "1";
-    } else if (tag == "I" && cur) {
-      std::string ln_s, allow, target;
-      if (!std::getline(ss, ln_s, '\t') || !std::getline(ss, allow, '\t') ||
-          !std::getline(ss, target))
-        return;
-      cur->rep.includes.push_back(
-          {std::stoull(ln_s), target, allow == "1"});
     } else if (tag == "V" && cur) {
       std::string ln_s, rule, msg;
       if (!std::getline(ss, ln_s, '\t') || !std::getline(ss, rule, '\t') ||
@@ -102,9 +94,6 @@ bool Cache::save(const std::string& path, std::uint64_t config_hash) const {
   for (const auto& [file, e] : current_) {
     out << "F\t" << hex(e.hash) << '\t' << (e.explicit_file ? 1 : 0) << '\t'
         << file << '\n';
-    for (const IncludeRef& inc : e.rep.includes)
-      out << "I\t" << inc.line << '\t' << (inc.allow ? 1 : 0) << '\t'
-          << inc.target << '\n';
     for (const Finding& v : e.rep.findings)
       out << "V\t" << v.line << '\t' << v.rule << '\t' << v.message << '\n';
   }

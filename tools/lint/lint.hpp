@@ -8,9 +8,6 @@
 ///   rules_file.cpp  the per-file determinism rules (wall-clock,
 ///                   unordered-iter, float-eq, include-hygiene,
 ///                   span-pairing, alert-transitions, pointer-key)
-///   layering.cpp    layers.def parsing + the whole-program include-graph
-///                   pass (upward edges, same-layer cross-includes,
-///                   cycles)
 ///   accounting.cpp  accounting.def parsing, counter-field extraction
 ///                   from the report/cache headers, and the cross-TU
 ///                   direct-write pass
@@ -19,10 +16,9 @@
 ///                   baseline suppressions
 ///   parfft_lint.cpp the driver
 ///
-/// Per-file passes produce a cacheable FileReport (findings + include
-/// facts); the whole-program layering pass re-derives the module graph
-/// from those facts on every run, so an incremental run still checks
-/// global properties.
+/// Every pass works on one file at a time and produces a cacheable
+/// FileReport. The module layer order is not checked here: the build
+/// enforces it (cmake/ParfftModule.cmake).
 
 #pragma once
 
@@ -43,20 +39,11 @@ struct Finding {
   std::string message;
 };
 
-/// One quoted #include, recorded as a fact for the layering pass.
-struct IncludeRef {
-  std::size_t line = 0;
-  std::string target;  ///< the include path as written, e.g. "serve/server.hpp"
-  bool allow = false;  ///< carried a 'parfft-lint: allow(layering)' directive
-};
-
 /// Everything the per-file passes extract from one file. This is the
 /// unit the incremental cache stores: on a content-hash hit the file is
-/// not re-analysed, but its include facts still feed the whole-program
-/// layering pass.
+/// not re-analysed.
 struct FileReport {
   std::vector<Finding> findings;
-  std::vector<IncludeRef> includes;
 };
 
 struct FileText {
@@ -96,42 +83,8 @@ bool known_rule(const std::string& name);
 
 // ------------------------------------------------------- rules_file.cpp
 
-/// Runs every per-file rule over `f`, appending findings and include
-/// facts to `rep`.
+/// Runs every per-file rule over `f`, appending findings to `rep`.
 void run_file_rules(const FileText& f, FileReport& rep);
-
-// --------------------------------------------------------- layering.cpp
-
-/// The checked-in layer spec (tools/lint/layers.def): an ordered list of
-/// layers, each holding one or more src/ modules, plus the "open" trees
-/// (bench, tests, tools, examples) that may include any module.
-struct LayerSpec {
-  std::string path;                 ///< spec file, for messages
-  std::map<std::string, int> level; ///< module -> 0-based layer index
-  std::vector<std::vector<std::string>> layers;  ///< modules per level
-  std::set<std::string> open;       ///< trees free to include anything
-
-  bool loaded() const { return !layers.empty(); }
-};
-
-/// Parses `path`; returns false and sets `err` on malformed input.
-bool parse_layer_spec(const std::string& path, LayerSpec& spec, std::string& err);
-
-/// Module classification of a scanned file: the component following a
-/// "src" path component when it names a spec module ("core", ...);
-/// otherwise "" with `open` set when the path runs through an open tree.
-struct ModuleOf {
-  std::string module;  ///< empty when not a module file
-  bool open = false;
-  std::string unknown; ///< src/<dir> not present in the spec (a finding)
-};
-ModuleOf classify_path(const std::string& path, const LayerSpec& spec);
-
-/// The whole-program pass: builds the module dependency graph from every
-/// file's include facts and reports upward edges, same-layer
-/// cross-module edges, spec-unknown src modules and include cycles.
-void check_layering(const std::vector<std::pair<std::string, const FileReport*>>& files,
-                    const LayerSpec& spec, std::vector<Finding>& out);
 
 // ------------------------------------------------------- accounting.cpp
 

@@ -13,7 +13,6 @@
 file(REMOVE "${CACHE}")
 
 set(ARGS
-    --layers=${SRC}/tools/lint/layers.def
     --counters=${SRC}/tools/lint/accounting.def
     --cache=${CACHE}
     ${SRC}/src)

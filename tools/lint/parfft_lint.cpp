@@ -2,19 +2,17 @@
 /// Driver of the ParFFT whole-program analyzer.
 ///
 /// Every performance number in this repository is a deterministic
-/// virtual-time estimate and the repo's architecture rests on two
-/// invariants the compiler cannot see: the strict module layer order
-/// (tools/lint/layers.def) and the accounting discipline behind the
-/// ServeReport/ClusterReport/PlanCache conservation identities
-/// (tools/lint/accounting.def). This tool makes violations of either --
-/// plus the classic determinism hazards -- a build failure.
+/// virtual-time estimate, and the serving tier's results rest on an
+/// invariant the compiler cannot see: the accounting discipline behind
+/// the ServeReport/ClusterReport/PlanCache conservation identities
+/// (tools/lint/accounting.def). This tool makes violations of it -- plus
+/// the classic determinism hazards -- a test failure. (The module layer
+/// order is enforced by the build itself; see cmake/ParfftModule.cmake.)
 ///
 /// Passes (see lint.hpp for the pipeline layout; docs/static-analysis.md
-/// for the full rule reference):
-///   per-file   wall-clock, unordered-iter, float-eq, include-hygiene,
-///              span-pairing, alert-transitions, pointer-key, accounting
-///   whole-tree layering (include graph vs layers.def: upward edges,
-///              same-layer cross-includes, unknown modules, cycles)
+/// for the full rule reference), all per file: wall-clock,
+/// unordered-iter, float-eq, include-hygiene, span-pairing,
+/// alert-transitions, pointer-key, accounting.
 ///
 /// Allowlist mechanism: a line (or the line above it) containing
 ///   // parfft-lint: allow(<rule>)
@@ -25,7 +23,6 @@
 /// fixture tests drive the tool).
 ///
 /// Usage: parfft_lint [options] <file-or-dir>...
-///   --layers=FILE    layer spec; enables the layering pass
 ///   --counters=FILE  accounting spec; enables the accounting pass
 ///   --cache=FILE     incremental cache keyed by content hash
 ///   --baseline=FILE  suppress grandfathered findings listed in FILE
@@ -99,7 +96,6 @@ std::string file_contents(const fs::path& p, bool& ok) {
 void usage(std::ostream& os) {
   os << "usage: parfft_lint [options] <file-or-dir>...\n"
         "options:\n"
-        "  --layers=FILE    layer spec (enables the layering pass)\n"
         "  --counters=FILE  accounting spec (enables the accounting pass)\n"
         "  --cache=FILE     incremental content-hash finding cache\n"
         "  --baseline=FILE  baseline suppressions "
@@ -120,8 +116,7 @@ void usage(std::ostream& os) {
 int main(int argc, char** argv) {
   std::vector<std::string> expect;
   std::vector<std::pair<fs::path, bool>> files;
-  std::string layers_path, counters_path, cache_path, baseline_path,
-      sarif_path;
+  std::string counters_path, cache_path, baseline_path, sarif_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&arg](const char* flag) {
@@ -131,8 +126,6 @@ int main(int argc, char** argv) {
       std::stringstream ss(value("--expect="));
       std::string r;
       while (std::getline(ss, r, ',')) expect.push_back(r);
-    } else if (arg.rfind("--layers=", 0) == 0) {
-      layers_path = value("--layers=");
     } else if (arg.rfind("--counters=", 0) == 0) {
       counters_path = value("--counters=");
     } else if (arg.rfind("--cache=", 0) == 0) {
@@ -171,12 +164,6 @@ int main(int argc, char** argv) {
   }
 
   std::string err;
-  lint::LayerSpec layers;
-  if (!layers_path.empty() &&
-      !lint::parse_layer_spec(layers_path, layers, err)) {
-    std::cerr << "parfft_lint: " << err << "\n";
-    return 2;
-  }
   lint::CounterSpec counters;
   if (!counters_path.empty() &&
       !lint::parse_counter_spec(counters_path, counters, err)) {
@@ -190,13 +177,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // The configuration hash: any change to the tool, the specs or the
+  // The configuration hash: any change to the tool, the spec or the
   // headers the counter index is extracted from invalidates the cache.
   std::uint64_t config = lint::fnv1a("parfft-lint-config-v1");
-  for (const std::string& spec_path : {layers_path, counters_path}) {
-    if (spec_path.empty()) continue;
+  if (!counters_path.empty()) {
     bool ok = false;
-    config = lint::fnv1a(file_contents(spec_path, ok), config);
+    config = lint::fnv1a(file_contents(counters_path, ok), config);
   }
   for (const lint::CounterType& t : counters.types) {
     std::string joined = t.name;
@@ -207,10 +193,8 @@ int main(int argc, char** argv) {
   lint::Cache cache;
   if (!cache_path.empty()) cache.load(cache_path, config);
 
-  // Per-file analysis (cache-aware). FileReports are kept alive for the
-  // whole-program layering pass.
-  std::vector<std::pair<std::string, lint::FileReport>> reports;
-  reports.reserve(files.size());
+  // Per-file analysis (cache-aware).
+  std::vector<lint::Finding> findings;
   std::size_t analysed = 0, cached = 0;
   for (const auto& [path, explicit_file] : files) {
     const std::string generic = fs::path(path).generic_string();
@@ -221,33 +205,21 @@ int main(int argc, char** argv) {
       return 2;
     }
     const std::uint64_t hash = lint::fnv1a(content);
+    lint::FileReport rep;
     if (const lint::FileReport* hit = cache.lookup(generic, hash, explicit_file)) {
-      reports.emplace_back(generic, *hit);
+      rep = *hit;
       ++cached;
     } else {
       lint::FileText f;
       f.path = generic;
       f.explicit_file = explicit_file;
       lint::build_file_text(f, content);
-      lint::FileReport rep;
       lint::run_file_rules(f, rep);
       if (counters.loaded()) lint::check_accounting(f, counters, rep.findings);
-      reports.emplace_back(generic, std::move(rep));
       ++analysed;
     }
-    cache.put(generic, hash, explicit_file, reports.back().second);
-  }
-
-  std::vector<lint::Finding> findings;
-  for (const auto& [path, rep] : reports) {
-    (void)path;
     findings.insert(findings.end(), rep.findings.begin(), rep.findings.end());
-  }
-  if (layers.loaded()) {
-    std::vector<std::pair<std::string, const lint::FileReport*>> facts;
-    facts.reserve(reports.size());
-    for (const auto& [path, rep] : reports) facts.emplace_back(path, &rep);
-    lint::check_layering(facts, layers, findings);
+    cache.put(generic, hash, explicit_file, rep);
   }
 
   lint::sort_findings(findings);

@@ -1,10 +1,9 @@
 /// \file rules_file.cpp
 /// Per-file rule passes. These are the line-level determinism rules the
 /// original single-file linter shipped (wall-clock, unordered-iter,
-/// float-eq, include-hygiene, span-pairing, alert-transitions), the
-/// pointer-key determinism upgrade, and the #include fact extraction the
-/// whole-program layering pass consumes. Everything here depends only on
-/// one file's text, which is what makes the results cacheable by content
+/// float-eq, include-hygiene, span-pairing, alert-transitions) and the
+/// pointer-key determinism upgrade. Everything here depends only on one
+/// file's text, which is what makes the results cacheable by content
 /// hash.
 
 #include <algorithm>
@@ -589,27 +588,6 @@ void check_pointer_key(const FileText& f, std::vector<Finding>& out) {
   }
 }
 
-// ------------------------------------------------------- include facts
-
-/// Records every quoted #include as a fact for the layering pass. The
-/// directive is located in the stripped text (so commented-out includes
-/// are ignored) but the path itself is read from the raw line, because
-/// stripping blanks string-literal contents.
-void collect_includes(const FileText& f, FileReport& rep) {
-  for (std::size_t ln = 0; ln < f.code.size(); ++ln) {
-    const std::string& code = f.code[ln];
-    std::size_t p = code.find("#include");
-    if (p == std::string::npos) continue;
-    const std::string& raw = f.raw[ln];
-    std::size_t b = raw.find('"', p);
-    if (b == std::string::npos) continue;  // <system> include
-    std::size_t e = raw.find('"', b + 1);
-    if (e == std::string::npos) continue;
-    rep.includes.push_back({ln + 1, raw.substr(b + 1, e - b - 1),
-                            allowed(f, ln + 1, "layering")});
-  }
-}
-
 }  // namespace
 
 void run_file_rules(const FileText& f, FileReport& rep) {
@@ -620,7 +598,6 @@ void run_file_rules(const FileText& f, FileReport& rep) {
   check_span_pairing(f, rep.findings);
   check_alert_transitions(f, rep.findings);
   check_pointer_key(f, rep.findings);
-  collect_includes(f, rep);
 }
 
 }  // namespace lint

@@ -180,9 +180,6 @@ const std::vector<Rule>& registry() {
       {"accounting",
        "direct write to a report/cache counter outside its sanctioned "
        "accessor file; verify() identities could drift"},
-      {"layering",
-       "include edge violates the layer order in layers.def (upward, "
-       "same-layer cross-module, unknown module, or cycle)"},
   };
   return kRules;
 }

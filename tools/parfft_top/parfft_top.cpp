@@ -26,12 +26,11 @@
 #include <vector>
 
 #include "common/table.hpp"
-#include "mini_json.hpp"
+#include "json.hpp"
 
 namespace {
 
-using parfft::tools::JsonParser;
-using parfft::tools::JValue;
+using parfft::json::Value;
 
 std::string fmt(double v) {
   char buf[32];
@@ -40,10 +39,10 @@ std::string fmt(double v) {
 }
 
 /// Per-window activity as a density ramp, newest window rightmost.
-std::string sparkline(const JValue& windows) {
+std::string sparkline(const Value& windows) {
   static const char kRamp[] = " .:-=+*#%@";
   double peak = 0;
-  for (const JValue& w : windows.arr)
+  for (const Value& w : windows.arr)
     peak = std::max(peak, w.num_or("count", 0));
   std::string out;
   const std::size_t n = windows.arr.size();
@@ -58,47 +57,47 @@ std::string sparkline(const JValue& windows) {
 }
 
 /// Schema check: the keys every parfft-telemetry-v1 snapshot must carry.
-bool validate(const JValue& root, std::string& why) {
+bool validate(const Value& root, std::string& why) {
   if (!root.is_obj()) { why = "root is not an object"; return false; }
   if (root.str_or("schema", "") != "parfft-telemetry-v1") {
     why = "schema is not parfft-telemetry-v1";
     return false;
   }
   for (const char* key : {"now", "window"}) {
-    const JValue* v = root.get(key);
-    if (!v || v->kind != JValue::Kind::Number) {
+    const Value* v = root.get(key);
+    if (!v || v->kind != Value::Kind::Number) {
       why = std::string("missing numeric \"") + key + "\"";
       return false;
     }
   }
-  const JValue* series = root.get("series");
+  const Value* series = root.get("series");
   if (!series || !series->is_obj()) { why = "missing \"series\" object"; return false; }
   for (const auto& [name, s] : series->obj) {
-    const JValue* w = s.get("windows");
+    const Value* w = s.get("windows");
     if (!s.is_obj() || !w || !w->is_arr()) {
       why = "series \"" + name + "\" has no windows array";
       return false;
     }
   }
   for (const char* key : {"slo", "alerts"}) {
-    const JValue* v = root.get(key);
+    const Value* v = root.get(key);
     if (!v || !v->is_arr()) {
       why = std::string("missing \"") + key + "\" array";
       return false;
     }
   }
-  const JValue* rec = root.get("recorder");
+  const Value* rec = root.get("recorder");
   if (!rec || !rec->is_obj() || !rec->get("capacity")) {
     why = "missing \"recorder\" object";
     return false;
   }
   // Optional cluster extension: a per-machine section, one summary
   // object per shard, each carrying a numeric id.
-  if (const JValue* machines = root.get("machines")) {
+  if (const Value* machines = root.get("machines")) {
     if (!machines->is_arr()) { why = "\"machines\" is not an array"; return false; }
-    for (const JValue& m : machines->arr) {
-      const JValue* id = m.get("id");
-      if (!m.is_obj() || !id || id->kind != JValue::Kind::Number) {
+    for (const Value& m : machines->arr) {
+      const Value* id = m.get("id");
+      if (!m.is_obj() || !id || id->kind != Value::Kind::Number) {
         why = "machines entry has no numeric \"id\"";
         return false;
       }
@@ -120,18 +119,18 @@ std::pair<std::string, std::string> split_machine(const std::string& name) {
   return {"-", name};
 }
 
-void render(std::ostream& os, const JValue& root, const std::string& path) {
+void render(std::ostream& os, const Value& root, const std::string& path) {
   os << "parfft_top -- " << path << "\n";
   os << "now " << fmt(root.num_or("now", 0)) << "s  window "
      << fmt(root.num_or("window", 0)) << "s  telemetry "
      << (root.get("enabled") && root.get("enabled")->b ? "on" : "off")
      << "\n\n";
 
-  if (const JValue* machines = root.get("machines");
+  if (const Value* machines = root.get("machines");
       machines && !machines->arr.empty()) {
     parfft::Table t({"machine", "now", "series", "requests", "slo",
                      "alerts", "recorded", "dumps"});
-    for (const JValue& m : machines->arr) {
+    for (const Value& m : machines->arr) {
       t.add_row({fmt(m.num_or("id", -1)), fmt(m.num_or("now", 0)),
                  fmt(m.num_or("series", 0)), fmt(m.num_or("requests", 0)),
                  fmt(m.num_or("slo", 0)), fmt(m.num_or("alerts", 0)),
@@ -141,7 +140,7 @@ void render(std::ostream& os, const JValue& root, const std::string& path) {
     os << "\n";
   }
 
-  const JValue* series = root.get("series");
+  const Value* series = root.get("series");
   if (series && !series->obj.empty()) {
     parfft::Table t({"machine", "series", "count", "mean", "p50", "p99",
                      "max", "activity (newest right)"});
@@ -156,11 +155,11 @@ void render(std::ostream& os, const JValue& root, const std::string& path) {
     os << "\n";
   }
 
-  const JValue* slo = root.get("slo");
+  const Value* slo = root.get("slo");
   if (slo && !slo->arr.empty()) {
     parfft::Table t({"machine", "tenant", "state", "attainment", "objective",
                      "burn short", "burn long", "budget"});
-    for (const JValue& m : slo->arr) {
+    for (const Value& m : slo->arr) {
       const double att = m.num_or("attainment", 1.0);
       const double obj = m.num_or("objective", 0);
       // Error-budget bar: fraction of the allowed error rate consumed.
@@ -180,12 +179,12 @@ void render(std::ostream& os, const JValue& root, const std::string& path) {
     os << "\n";
   }
 
-  const JValue* alerts = root.get("alerts");
+  const Value* alerts = root.get("alerts");
   if (alerts && !alerts->arr.empty()) {
     os << "alerts (" << alerts->arr.size() << " total, last 8):\n";
     const std::size_t n = alerts->arr.size();
     for (std::size_t i = n > 8 ? n - 8 : 0; i < n; ++i) {
-      const JValue& a = alerts->arr[i];
+      const Value& a = alerts->arr[i];
       os << "  t=" << fmt(a.num_or("t", 0)) << "  tenant "
          << fmt(a.num_or("tenant", 0)) << "  " << a.str_or("from", "?")
          << " -> " << a.str_or("to", "?") << "  (burn "
@@ -195,7 +194,7 @@ void render(std::ostream& os, const JValue& root, const std::string& path) {
     os << "\n";
   }
 
-  if (const JValue* rec = root.get("recorder")) {
+  if (const Value* rec = root.get("recorder")) {
     os << "recorder: seen " << fmt(rec->num_or("seen", 0)) << "  recorded "
        << fmt(rec->num_or("recorded", 0)) << "  capacity "
        << fmt(rec->num_or("capacity", 0)) << "  dumps "
@@ -238,8 +237,8 @@ int main(int argc, char** argv) {
   std::ostringstream ss;
   ss << f.rdbuf();
   const std::string text = ss.str();
-  JValue root;
-  if (!JsonParser(text).parse(root)) {
+  Value root;
+  if (!parfft::json::parse(text, root)) {
     std::fprintf(stderr, "parfft_top: %s is not valid JSON\n", path);
     return 1;
   }

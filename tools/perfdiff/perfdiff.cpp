@@ -28,12 +28,11 @@
 #include <string>
 #include <vector>
 
-#include "mini_json.hpp"
+#include "json.hpp"
 
 namespace {
 
-using parfft::tools::JsonParser;
-using parfft::tools::JValue;
+using parfft::json::Value;
 
 struct Metric {
   double v = 0;
@@ -50,20 +49,20 @@ bool load_metrics(const char* path, std::map<std::string, Metric>& out) {
   std::ostringstream ss;
   ss << f.rdbuf();
   const std::string text = ss.str();
-  JValue root;
-  if (!JsonParser(text).parse(root) || !root.is_obj()) {
+  Value root;
+  if (!parfft::json::parse(text, root) || !root.is_obj()) {
     std::fprintf(stderr, "perfdiff: %s is not valid JSON\n", path);
     return false;
   }
-  const JValue* metrics = root.get("metrics");
+  const Value* metrics = root.get("metrics");
   if (!metrics || !metrics->is_obj()) {
     std::fprintf(stderr, "perfdiff: %s has no \"metrics\" object\n", path);
     return false;
   }
   for (const auto& [name, val] : metrics->obj) {
     if (!val.is_obj()) continue;
-    const JValue* v = val.get("v");
-    if (!v || v->kind != JValue::Kind::Number) continue;
+    const Value* v = val.get("v");
+    if (!v || v->kind != Value::Kind::Number) continue;
     Metric m;
     m.v = v->num;
     m.dir = val.str_or("dir", "lower");
