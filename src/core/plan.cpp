@@ -178,6 +178,27 @@ void Plan3D::run_reshape(const Stage& stage, int tag_base) {
   }
 }
 
+void Plan3D::charge_pack(double t, std::size_t fanout) {
+  comm_.advance(t);
+  trace_.add_pack(t);
+  if (obs::RunTrace* run = comm_.trace_run()) {
+    if (t > 0)
+      run->tracer.complete(comm_.world_rank(), obs::Category::Pack, "pack",
+                           comm_.vtime() - t, t);
+    run->metrics
+        .histogram("reshape/fanout", obs::geometric_edges(1.0, 1024.0, 2.0))
+        .observe(static_cast<double>(fanout));
+  }
+}
+
+void Plan3D::charge_unpack(double t) {
+  comm_.advance(t);
+  trace_.add_unpack(t);
+  if (obs::RunTrace* run = comm_.trace_run(); run != nullptr && t > 0)
+    run->tracer.complete(comm_.world_rank(), obs::Category::Unpack, "unpack",
+                         comm_.vtime() - t, t);
+}
+
 void Plan3D::run_reshape_collective(const Stage& stage) {
   const ReshapePlan& rp = stage.reshape;
   const int R = comm_.size();
@@ -193,7 +214,6 @@ void Plan3D::run_reshape_collective(const Stage& stage) {
 
   // Pack every outgoing region (ascending peer), batch-major per region.
   sendbuf_.resize(static_cast<std::size_t>(rp.max_send_elements(me) * batch));
-  double pack_t = 0;
   idx_t off = 0;
   for (const Transfer& t : rp.sends(me)) {
     const idx_t cnt = t.region.count();
@@ -204,22 +224,11 @@ void Plan3D::run_reshape_collective(const Stage& stage) {
     for (int b = 0; b < batch; ++b)
       pack_box(work_.data() + static_cast<idx_t>(b) * from.count(), from,
                t.region, sendbuf_.data() + off + static_cast<idx_t>(b) * cnt);
-    pack_t += gpu::pack_region_cost(
-        dev_, static_cast<double>(cnt * batch) * sizeof(cplx),
-        pack_contiguous_run(from, t.region));
     off += cnt * batch;
   }
-  if (!rp.sends(me).empty()) pack_t += dev_.kernel_launch;
-  comm_.advance(pack_t);
-  trace_.add_pack(pack_t);
-  if (obs::RunTrace* run = comm_.trace_run()) {
-    if (pack_t > 0)
-      run->tracer.complete(comm_.world_rank(), obs::Category::Pack, "pack",
-                           comm_.vtime() - pack_t, pack_t);
-    run->metrics
-        .histogram("reshape/fanout", obs::geometric_edges(1.0, 1024.0, 2.0))
-        .observe(static_cast<double>(rp.sends(me).size()));
-  }
+  const PackCost k =
+      reshape_pack_cost(dev_, rp, me, batch, plan_.options.backend);
+  charge_pack(k.pack, rp.sends(me).size());
 
   // Receive displacements (ascending peer).
   recvbuf_.resize(static_cast<std::size_t>(rp.max_recv_elements(me) * batch));
@@ -240,24 +249,15 @@ void Plan3D::run_reshape_collective(const Stage& stage) {
 
   // Unpack into the new layout.
   work2_.assign(static_cast<std::size_t>(to.count() * batch), cplx{});
-  double unpack_t = 0;
   idx_t uoff = 0;
   for (const Transfer& t : rp.recvs(me)) {
     const idx_t cnt = t.region.count();
     for (int b = 0; b < batch; ++b)
       unpack_box(recvbuf_.data() + uoff + static_cast<idx_t>(b) * cnt, to,
                  t.region, work2_.data() + static_cast<idx_t>(b) * to.count());
-    unpack_t += gpu::pack_region_cost(
-        dev_, static_cast<double>(cnt * batch) * sizeof(cplx),
-        pack_contiguous_run(to, t.region));
     uoff += cnt * batch;
   }
-  if (!rp.recvs(me).empty()) unpack_t += dev_.kernel_launch;
-  comm_.advance(unpack_t);
-  trace_.add_unpack(unpack_t);
-  if (obs::RunTrace* run = comm_.trace_run(); run != nullptr && unpack_t > 0)
-    run->tracer.complete(comm_.world_rank(), obs::Category::Unpack, "unpack",
-                         comm_.vtime() - unpack_t, unpack_t);
+  charge_unpack(k.unpack);
   work_.swap(work2_);
 }
 
@@ -309,7 +309,6 @@ void Plan3D::run_reshape_p2p(const Stage& stage, int tag_base) {
   // Pack (same kernels as the collective path).
   sendbuf_.resize(static_cast<std::size_t>(rp.max_send_elements(me) * batch));
   std::vector<idx_t> send_off(rp.sends(me).size());
-  double pack_t = 0;
   idx_t off = 0;
   for (std::size_t i = 0; i < rp.sends(me).size(); ++i) {
     const Transfer& t = rp.sends(me)[i];
@@ -318,22 +317,11 @@ void Plan3D::run_reshape_p2p(const Stage& stage, int tag_base) {
     for (int b = 0; b < batch; ++b)
       pack_box(work_.data() + static_cast<idx_t>(b) * from.count(), from,
                t.region, sendbuf_.data() + off + static_cast<idx_t>(b) * cnt);
-    pack_t += gpu::pack_region_cost(
-        dev_, static_cast<double>(cnt * batch) * sizeof(cplx),
-        pack_contiguous_run(from, t.region));
     off += cnt * batch;
   }
-  if (!rp.sends(me).empty()) pack_t += dev_.kernel_launch;
-  comm_.advance(pack_t);
-  trace_.add_pack(pack_t);
-  if (obs::RunTrace* run = comm_.trace_run()) {
-    if (pack_t > 0)
-      run->tracer.complete(comm_.world_rank(), obs::Category::Pack, "pack",
-                           comm_.vtime() - pack_t, pack_t);
-    run->metrics
-        .histogram("reshape/fanout", obs::geometric_edges(1.0, 1024.0, 2.0))
-        .observe(static_cast<double>(rp.sends(me).size()));
-  }
+  const PackCost k =
+      reshape_pack_cost(dev_, rp, me, batch, plan_.options.backend);
+  charge_pack(k.pack, rp.sends(me).size());
 
   // Post receives (MPI_Irecv), then sends; data transport is untimed here
   // -- the whole phase is settled with the congestion-aware model below.
@@ -394,7 +382,6 @@ void Plan3D::run_reshape_p2p(const Stage& stage, int tag_base) {
 
   // Unpack.
   work2_.assign(static_cast<std::size_t>(to.count() * batch), cplx{});
-  double unpack_t = 0;
   for (std::size_t i = 0; i < rp.recvs(me).size(); ++i) {
     const Transfer& t = rp.recvs(me)[i];
     const idx_t cnt = t.region.count();
@@ -402,16 +389,8 @@ void Plan3D::run_reshape_p2p(const Stage& stage, int tag_base) {
       unpack_box(recvbuf_.data() + recv_off[i] + static_cast<idx_t>(b) * cnt,
                  to, t.region,
                  work2_.data() + static_cast<idx_t>(b) * to.count());
-    unpack_t += gpu::pack_region_cost(
-        dev_, static_cast<double>(cnt * batch) * sizeof(cplx),
-        pack_contiguous_run(to, t.region));
   }
-  if (!rp.recvs(me).empty()) unpack_t += dev_.kernel_launch;
-  comm_.advance(unpack_t);
-  trace_.add_unpack(unpack_t);
-  if (obs::RunTrace* run = comm_.trace_run(); run != nullptr && unpack_t > 0)
-    run->tracer.complete(comm_.world_rank(), obs::Category::Unpack, "unpack",
-                         comm_.vtime() - unpack_t, unpack_t);
+  charge_unpack(k.unpack);
   work_.swap(work2_);
 }
 
@@ -427,14 +406,14 @@ void Plan3D::run_fft(const Stage& stage, dft::Direction dir) {
     const int len = dims[static_cast<std::size_t>(axis)];
     const idx_t lines = box.count() / len;
     const bool naturally_contiguous = axis == 2;
+    const FftCost k = fft_axis_cost(dev_, box, axis, batch,
+                                    plan_.options.contiguous_fft, &fft_cache_);
+    const double t = k.fft;
     if (naturally_contiguous || !plan_.options.contiguous_fft) {
       // Strided (or already contiguous) execution straight on the brick.
       for (int b = 0; b < batch; ++b)
         dft::fft3d_axis(work_.data() + static_cast<idx_t>(b) * box.count(),
                         dims, axis, dir);
-      const double t = fft_cache_.fft_call(
-          dev_, len, static_cast<int>(lines) * batch,
-          /*strided=*/!naturally_contiguous);
       comm_.advance(t);
       trace_.add_fft(t, !naturally_contiguous);
       if (obs::RunTrace* run = comm_.trace_run()) {
@@ -451,24 +430,18 @@ void Plan3D::run_fft(const Stage& stage, dft::Direction dir) {
     } else {
       // heFFTe's reorder path: transpose to contiguous lines, transform,
       // transpose back. Costs two local repacks but a contiguous FFT.
-      const double bytes = static_cast<double>(box.count()) * batch *
-                           static_cast<double>(sizeof(cplx));
       work2_.resize(work_.size());
-      double pack_t = 0;
       for (int b = 0; b < batch; ++b)
         transpose_to_lines(work_.data() + static_cast<idx_t>(b) * box.count(),
                            box, axis,
                            work2_.data() + static_cast<idx_t>(b) * box.count());
-      pack_t += gpu::pack_cost(dev_, bytes, sizeof(cplx) * 1.0);
       dft::ManyPlan mp(len, {.count = static_cast<int>(lines) * batch});
       mp.execute(work2_.data(), work2_.data(), dir);
-      const double t = fft_cache_.fft_call(
-          dev_, len, static_cast<int>(lines) * batch, /*strided=*/false);
       for (int b = 0; b < batch; ++b)
         transpose_from_lines(
             work2_.data() + static_cast<idx_t>(b) * box.count(), box, axis,
             work_.data() + static_cast<idx_t>(b) * box.count());
-      pack_t += gpu::pack_cost(dev_, bytes, sizeof(cplx) * 1.0);
+      const double pack_t = k.transpose;
       comm_.advance(pack_t + t);
       trace_.add_pack(pack_t);
       trace_.add_fft(t, false);

@@ -10,6 +10,7 @@
 /// data while charging Summit-like virtual time to each rank's clock.
 
 #include <array>
+#include <cstddef>
 #include <vector>
 
 #include "core/stages.hpp"
@@ -69,12 +70,15 @@ class Plan3D {
   double overlap_entry_sync();
   /// Rewrites every rank's clock to `base` + the pipelined batch time.
   void overlap_settle(double base);
+  /// Advances this rank's clock by a reshape's pack (unpack) kernel time
+  /// and records it in trace() and the run's spans.
+  void charge_pack(double t, std::size_t fanout);
+  void charge_unpack(double t);
   void run_reshape(const Stage& stage, int tag_base);
   void run_reshape_collective(const Stage& stage);
   void run_reshape_datatype(const Stage& stage);
   void run_reshape_p2p(const Stage& stage, int tag_base);
   void run_fft(const Stage& stage, dft::Direction dir);
-  void apply_scaling(const std::vector<Box3>& layout);
 
   smpi::Comm& comm_;
   StagePlan plan_;

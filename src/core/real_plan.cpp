@@ -87,9 +87,11 @@ void RealPlan3D::exchange_real(const ReshapePlan& rp, const double* in,
   // The real stage supports the collective data paths; P2P and datatype
   // backends fall back to Alltoallv here (heFFTe's r2c does the same:
   // the first reshape is always a packed exchange).
-  const net::CollectiveAlg alg = opt_.backend == Backend::Alltoall
-                                     ? net::CollectiveAlg::Alltoall
-                                     : net::CollectiveAlg::Alltoallv;
+  const Backend backend = opt_.backend == Backend::Alltoall
+                              ? Backend::Alltoall
+                              : Backend::Alltoallv;
+  const PackCost k =
+      reshape_pack_cost(dev_, rp, me, /*batch=*/1, backend, sizeof(double));
 
   std::vector<std::size_t> scounts(static_cast<std::size_t>(R), 0),
       sdispls(static_cast<std::size_t>(R), 0),
@@ -98,7 +100,6 @@ void RealPlan3D::exchange_real(const ReshapePlan& rp, const double* in,
   std::vector<double> sendbuf(static_cast<std::size_t>(rp.max_send_elements(me)));
   std::vector<double> recvbuf(static_cast<std::size_t>(rp.max_recv_elements(me)));
 
-  double pack_t = 0;
   idx_t off = 0;
   for (const Transfer& t : rp.sends(me)) {
     const idx_t cnt = t.region.count();
@@ -107,15 +108,11 @@ void RealPlan3D::exchange_real(const ReshapePlan& rp, const double* in,
     sdispls[static_cast<std::size_t>(t.peer)] =
         static_cast<std::size_t>(off) * sizeof(double);
     pack_box_t(in, from, t.region, sendbuf.data() + off);
-    pack_t += gpu::pack_region_cost(dev_,
-                                    static_cast<double>(cnt) * sizeof(double),
-                                    pack_contiguous_run(from, t.region) / 2);
     off += cnt;
   }
-  if (!rp.sends(me).empty()) pack_t += dev_.kernel_launch;
-  comm_.advance(pack_t);
-  trace_.add_pack(pack_t);
-  leaf_span(comm_, obs::Category::Pack, "pack", pack_t);
+  comm_.advance(k.pack);
+  trace_.add_pack(k.pack);
+  leaf_span(comm_, obs::Category::Pack, "pack", k.pack);
 
   idx_t roff = 0;
   for (const Transfer& t : rp.recvs(me)) {
@@ -129,25 +126,17 @@ void RealPlan3D::exchange_real(const ReshapePlan& rp, const double* in,
 
   const double t0 = comm_.vtime();
   comm_.alltoallv(sendbuf.data(), scounts, sdispls, recvbuf.data(), rcounts,
-                  rdispls, smpi::MemSpace::Device, alg);
-  trace_.add_comm(alg == net::CollectiveAlg::Alltoall ? "MPI_Alltoall"
-                                                      : "MPI_Alltoallv",
-                  comm_.vtime() - t0);
+                  rdispls, smpi::MemSpace::Device, to_alg(backend));
+  trace_.add_comm(backend_name(backend), comm_.vtime() - t0);
 
-  double unpack_t = 0;
   idx_t uoff = 0;
   for (const Transfer& t : rp.recvs(me)) {
-    const idx_t cnt = t.region.count();
     unpack_box_t(recvbuf.data() + uoff, to, t.region, out);
-    unpack_t += gpu::pack_region_cost(
-        dev_, static_cast<double>(cnt) * sizeof(double),
-        pack_contiguous_run(to, t.region) / 2);
-    uoff += cnt;
+    uoff += t.region.count();
   }
-  if (!rp.recvs(me).empty()) unpack_t += dev_.kernel_launch;
-  comm_.advance(unpack_t);
-  trace_.add_unpack(unpack_t);
-  leaf_span(comm_, obs::Category::Unpack, "unpack", unpack_t);
+  comm_.advance(k.unpack);
+  trace_.add_unpack(k.unpack);
+  leaf_span(comm_, obs::Category::Unpack, "unpack", k.unpack);
 }
 
 void RealPlan3D::forward(const double* in, cplx* out) {

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "core/pack.hpp"
 #include "obs/session.hpp"
 
 namespace parfft::core {
@@ -21,6 +20,16 @@ std::vector<Box3> brick_layout(const std::array<int, 3>& n, int nranks) {
 }
 
 namespace {
+
+/// `cfg` with default brick layouts filled in and checked.
+SimConfig normalized(SimConfig cfg) {
+  if (cfg.in_boxes.empty()) cfg.in_boxes = brick_layout(cfg.n, cfg.nranks);
+  if (cfg.out_boxes.empty()) cfg.out_boxes = cfg.in_boxes;
+  PARFFT_CHECK(static_cast<int>(cfg.in_boxes.size()) == cfg.nranks &&
+                   static_cast<int>(cfg.out_boxes.size()) == cfg.nranks,
+               "box layouts must have one entry per rank");
+  return cfg;
+}
 
 /// One simulated execution pass over the stages, advancing `clocks`.
 class StageRunner {
@@ -84,32 +93,15 @@ class StageRunner {
     const ReshapePlan& rp = s.reshape;
     const int R = plan_.nranks;
     const int batch = plan_.options.batch;
-    const bool datatype = backend_is_datatype(plan_.options.backend);
-    rc.pack.assign(static_cast<std::size_t>(R), 0.0);
-    rc.unpack.assign(static_cast<std::size_t>(R), 0.0);
-    if (!datatype) {
-      for (int r = 0; r < R; ++r) {
-        double t = 0;
-        const Box3& from = rp.from()[static_cast<std::size_t>(r)];
-        for (const Transfer& tr : rp.sends(r))
-          t += gpu::pack_region_cost(
-              cfg_.device,
-              static_cast<double>(tr.region.count() * batch) * sizeof(cplx),
-              pack_contiguous_run(from, tr.region));
-        if (!rp.sends(r).empty()) t += cfg_.device.kernel_launch;
-        rc.pack[static_cast<std::size_t>(r)] = t;
-        rc.max_pack = std::max(rc.max_pack, t);
-        double u = 0;
-        const Box3& to = rp.to()[static_cast<std::size_t>(r)];
-        for (const Transfer& tr : rp.recvs(r))
-          u += gpu::pack_region_cost(
-              cfg_.device,
-              static_cast<double>(tr.region.count() * batch) * sizeof(cplx),
-              pack_contiguous_run(to, tr.region));
-        if (!rp.recvs(r).empty()) u += cfg_.device.kernel_launch;
-        rc.unpack[static_cast<std::size_t>(r)] = u;
-        rc.max_unpack = std::max(rc.max_unpack, u);
-      }
+    rc.pack.resize(static_cast<std::size_t>(R));
+    rc.unpack.resize(static_cast<std::size_t>(R));
+    for (int r = 0; r < R; ++r) {
+      const PackCost k = reshape_pack_cost(cfg_.device, rp, r, batch,
+                                           plan_.options.backend);
+      rc.pack[static_cast<std::size_t>(r)] = k.pack;
+      rc.unpack[static_cast<std::size_t>(r)] = k.unpack;
+      rc.max_pack = std::max(rc.max_pack, k.pack);
+      rc.max_unpack = std::max(rc.max_unpack, k.unpack);
     }
     std::vector<int> group(static_cast<std::size_t>(R));
     for (int r = 0; r < R; ++r) group[static_cast<std::size_t>(r)] = r;
@@ -275,29 +267,23 @@ class StageRunner {
         const Box3& box = s.boxes[static_cast<std::size_t>(r)];
         if (box.empty()) continue;
         const int len = static_cast<int>(box.size(axis));
-        const int lines = static_cast<int>(box.count() / len) * batch;
         const bool contiguous =
             axis == 2 || plan_.options.contiguous_fft;
         // Each rank owns its FFT plans (as each GPU owns cuFFT handles);
         // the first call with a new layout pays the plan-setup spike
         // unless the config declares the plans pre-warmed.
-        const double t =
+        const FftCost c = fft_axis_cost(
+            cfg_.device, box, axis, batch, plan_.options.contiguous_fft,
             (cfg_.warmed || !first_transform_)
-                ? gpu::fft_cost(cfg_.device, len, lines, !contiguous)
-                : caches_[static_cast<std::size_t>(r)].fft_call(
-                      cfg_.device, len, lines, !contiguous);
-        if (axis != 2 && plan_.options.contiguous_fft) {
-          // Reorder path: two local transposes around the contiguous FFT.
-          const double bytes =
-              static_cast<double>(box.count()) * batch * sizeof(cplx);
-          const double p =
-              2.0 * gpu::pack_cost(cfg_.device, bytes, sizeof(cplx));
-          if (run_ != nullptr && p > 0)
-            run_->tracer.complete(r, obs::Category::Pack, "transpose",
-                                  clocks_[static_cast<std::size_t>(r)], p);
-          clocks_[static_cast<std::size_t>(r)] += p;
-          max_pack = std::max(max_pack, p);
-        }
+                ? nullptr
+                : &caches_[static_cast<std::size_t>(r)]);
+        const double t = c.fft, p = c.transpose;
+        // Reorder path: two local transposes around the contiguous FFT.
+        if (run_ != nullptr && p > 0)
+          run_->tracer.complete(r, obs::Category::Pack, "transpose",
+                                clocks_[static_cast<std::size_t>(r)], p);
+        clocks_[static_cast<std::size_t>(r)] += p;
+        max_pack = std::max(max_pack, p);
         any_strided = any_strided || !contiguous;
         if (run_ != nullptr && t > 0)
           run_->tracer.complete(
@@ -357,59 +343,6 @@ double overlapped_batch_time(const StagePlan& plan,
   PARFFT_CHECK(static_cast<int>(group.size()) == plan.nranks,
                "group size must match the plan's rank count");
 
-  // Per-stage costs for a chunk of b batch elements (max over ranks).
-  // Reshape stages split into pack (GPU compute stream), exchange (network
-  // stream) and unpack (compute stream) -- heFFTe's batched pipeline packs
-  // one chunk while another chunk's exchange is in flight.
-  struct StageCost {
-    double pre = 0;   // pack, compute stream
-    double comm = 0;  // exchange, network stream
-    double post = 0;  // unpack, compute stream
-  };
-  auto stage_cost = [&](const Stage& s, int b) {
-    StageCost c;
-    if (s.kind == Stage::Kind::Reshape) {
-      const net::PhaseTimes phase = cost.exchange(
-          group, s.reshape.send_matrix(b), to_alg(plan.options.backend),
-          mode, flavor);
-      c.comm = phase.total;
-      for (int r = 0; r < plan.nranks; ++r) {
-        double p = 0, u = 0;
-        for (const Transfer& tr : s.reshape.sends(r))
-          p += gpu::pack_region_cost(
-              device,
-              static_cast<double>(tr.region.count() * b) * sizeof(cplx),
-              pack_contiguous_run(s.reshape.from()[static_cast<std::size_t>(r)],
-                                  tr.region));
-        if (!s.reshape.sends(r).empty()) p += device.kernel_launch;
-        for (const Transfer& tr : s.reshape.recvs(r))
-          u += gpu::pack_region_cost(
-              device,
-              static_cast<double>(tr.region.count() * b) * sizeof(cplx),
-              pack_contiguous_run(s.reshape.to()[static_cast<std::size_t>(r)],
-                                  tr.region));
-        if (!s.reshape.recvs(r).empty()) u += device.kernel_launch;
-        c.pre = std::max(c.pre, p);
-        c.post = std::max(c.post, u);
-      }
-    } else {
-      for (int axis : s.axes) {
-        double mx = 0;
-        for (int r = 0; r < plan.nranks; ++r) {
-          const Box3& box = s.boxes[static_cast<std::size_t>(r)];
-          if (box.empty()) continue;
-          const int len = static_cast<int>(box.size(axis));
-          const int lines = static_cast<int>(box.count() / len) * b;
-          const bool contiguous = axis == 2 || plan.options.contiguous_fft;
-          mx = std::max(mx,
-                        gpu::fft_cost(device, len, lines, !contiguous));
-        }
-        c.pre += mx;
-      }
-    }
-    return c;
-  };
-
   // heFFTe tunes the sub-batch granularity: few large chunks amortize
   // per-message latency, many small chunks overlap better. Evaluate the
   // pipeline schedule for each candidate and keep the fastest -- this is
@@ -428,13 +361,39 @@ double overlapped_batch_time(const StagePlan& plan,
       ++out.chunk_batch[static_cast<std::size_t>(c)];
     gpu::StreamTimeline compute, comm;
     for (int c = 0; c < chunks; ++c) {
+      const int b = out.chunk_batch[static_cast<std::size_t>(c)];
       double ready = 0;  // completion of this chunk's previous stage
       for (const Stage& s : plan.stages) {
-        const StageCost sc =
-            stage_cost(s, out.chunk_batch[static_cast<std::size_t>(c)]);
-        if (sc.pre > 0) ready = compute.submit(ready, sc.pre);
-        if (sc.comm > 0) ready = comm.submit(ready, sc.comm);
-        if (sc.post > 0) ready = compute.submit(ready, sc.post);
+        // Max over ranks of the per-rank kernel costs every execution
+        // path charges. A reshape splits into pack (compute stream),
+        // exchange (network stream) and unpack (compute stream):
+        // heFFTe's batched pipeline packs one chunk while another chunk's
+        // exchange is in flight.
+        double pre = 0, xfer = 0, post = 0;
+        if (s.kind == Stage::Kind::Reshape) {
+          for (int r = 0; r < plan.nranks; ++r) {
+            const PackCost k = reshape_pack_cost(device, s.reshape, r, b,
+                                                 plan.options.backend);
+            pre = std::max(pre, k.pack);
+            post = std::max(post, k.unpack);
+          }
+          xfer = cost.exchange(group, s.reshape.send_matrix(b),
+                               to_alg(plan.options.backend), mode, flavor)
+                     .total;
+        } else {
+          for (int axis : s.axes) {
+            double mx = 0;
+            for (const Box3& box : s.boxes) {
+              const FftCost k = fft_axis_cost(device, box, axis, b,
+                                              plan.options.contiguous_fft);
+              mx = std::max(mx, k.fft + k.transpose);
+            }
+            pre += mx;
+          }
+        }
+        if (pre > 0) ready = compute.submit(ready, pre);
+        if (xfer > 0) ready = comm.submit(ready, xfer);
+        if (post > 0) ready = compute.submit(ready, post);
       }
       out.chunk_done.push_back(ready);
       out.total = std::max(out.total, ready);
@@ -463,12 +422,7 @@ double overlapped_batch_time(const StagePlan& plan,
 
 SimReport simulate(const SimConfig& cfg) {
   PARFFT_CHECK(cfg.repeats >= 1, "repeats must be positive");
-  SimConfig c = cfg;
-  if (c.in_boxes.empty()) c.in_boxes = brick_layout(c.n, c.nranks);
-  if (c.out_boxes.empty()) c.out_boxes = c.in_boxes;
-  PARFFT_CHECK(static_cast<int>(c.in_boxes.size()) == c.nranks &&
-                   static_cast<int>(c.out_boxes.size()) == c.nranks,
-               "box layouts must have one entry per rank");
+  const SimConfig c = normalized(cfg);
 
   const StagePlan plan = build_stages(c.n, c.nranks, c.in_boxes, c.out_boxes,
                                       c.options, c.machine);
@@ -518,19 +472,6 @@ SimReport simulate(const SimConfig& cfg) {
   report.kernels.scale *= inv;
   return report;
 }
-
-namespace {
-
-SimConfig normalized(SimConfig cfg) {
-  if (cfg.in_boxes.empty()) cfg.in_boxes = brick_layout(cfg.n, cfg.nranks);
-  if (cfg.out_boxes.empty()) cfg.out_boxes = cfg.in_boxes;
-  PARFFT_CHECK(static_cast<int>(cfg.in_boxes.size()) == cfg.nranks &&
-                   static_cast<int>(cfg.out_boxes.size()) == cfg.nranks,
-               "box layouts must have one entry per rank");
-  return cfg;
-}
-
-}  // namespace
 
 Simulator::Simulator(SimConfig cfg)
     : cfg_(normalized(std::move(cfg))),

@@ -4,8 +4,9 @@
 ///
 /// The threaded runtime really moves data and is capped at a few hundred
 /// ranks; the paper's experiments go to 3072 GPUs. This simulator executes
-/// the *same* stage plans (identical reshape send lists, identical cost
-/// functions) without data or threads: per-rank virtual clocks advance
+/// the *same* stage plans (identical reshape send lists; per-rank kernel
+/// costs from the one reshape_pack_cost() / fft_axis_cost() pair in
+/// stages.hpp) without data or threads: per-rank virtual clocks advance
 /// through pack / FFT / exchange stages, so the strong-scaling and
 /// per-call-trace experiments are cheap and deterministic. A consistency
 /// test asserts that simulate() and Plan3D::execute() agree on small
@@ -77,7 +78,11 @@ struct BatchProfile {
 /// sub-chunks, each chunk's exchange overlapping the next chunk's
 /// compute; the best chunk granularity is selected, as the paper tunes
 /// before reporting. Shared by simulate(), Simulator and the threaded
-/// Plan3D, so all execution modes charge the identical schedule. `group`
+/// Plan3D, so all execution modes charge the identical schedule. Each
+/// stage costs the max over ranks of the same per-rank kernel times the
+/// sequential paths charge: contiguous_fft plans pay their reorder
+/// transposes, and datatype backends (Alltoallw) pay no pack or unpack.
+/// At batch 1 on a balanced layout this equals the sequential price. `group`
 /// maps plan positions to global ranks (empty = identity); `batch`
 /// overrides `plan.options.batch`. Models pre-created (warm) FFT plans.
 /// When `profile` is non-null it receives the winning schedule's

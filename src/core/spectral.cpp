@@ -42,7 +42,6 @@ void distributed_reshape(smpi::Comm& comm, const Box3& from, const Box3& to,
   const ReshapePlan rp = ReshapePlan::create(from_all, to_all);
   const int me = comm.rank();
   const int R = comm.size();
-  const gpu::DeviceSpec& dev = comm.options().device;
 
   std::vector<std::size_t> scounts(static_cast<std::size_t>(R), 0),
       sdispls(static_cast<std::size_t>(R), 0),
@@ -51,19 +50,17 @@ void distributed_reshape(smpi::Comm& comm, const Box3& from, const Box3& to,
   std::vector<cplx> sendbuf(static_cast<std::size_t>(rp.max_send_elements(me)));
   std::vector<cplx> recvbuf(static_cast<std::size_t>(rp.max_recv_elements(me)));
 
-  double pack_t = 0;
+  const PackCost k = reshape_pack_cost(comm.options().device, rp, me,
+                                       /*batch=*/1, backend);
   idx_t off = 0;
   for (const Transfer& t : rp.sends(me)) {
     const idx_t cnt = t.region.count();
     scounts[static_cast<std::size_t>(t.peer)] = static_cast<std::size_t>(cnt) * sizeof(cplx);
     sdispls[static_cast<std::size_t>(t.peer)] = static_cast<std::size_t>(off) * sizeof(cplx);
     pack_box(in.data(), from, t.region, sendbuf.data() + off);
-    pack_t += gpu::pack_region_cost(dev, static_cast<double>(cnt) * sizeof(cplx),
-                                    pack_contiguous_run(from, t.region));
     off += cnt;
   }
-  if (!rp.sends(me).empty()) pack_t += dev.kernel_launch;
-  comm.advance(pack_t);
+  comm.advance(k.pack);
 
   idx_t roff = 0;
   for (const Transfer& t : rp.recvs(me)) {
@@ -76,17 +73,12 @@ void distributed_reshape(smpi::Comm& comm, const Box3& from, const Box3& to,
                  rdispls, smpi::MemSpace::Device, to_alg(backend));
 
   out.assign(static_cast<std::size_t>(to.count()), cplx{});
-  double unpack_t = 0;
   idx_t uoff = 0;
   for (const Transfer& t : rp.recvs(me)) {
-    const idx_t cnt = t.region.count();
     unpack_box(recvbuf.data() + uoff, to, t.region, out.data());
-    unpack_t += gpu::pack_region_cost(dev, static_cast<double>(cnt) * sizeof(cplx),
-                                      pack_contiguous_run(to, t.region));
-    uoff += cnt;
+    uoff += t.region.count();
   }
-  if (!rp.recvs(me).empty()) unpack_t += dev.kernel_launch;
-  comm.advance(unpack_t);
+  comm.advance(k.unpack);
 }
 
 }  // namespace parfft::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "core/pack.hpp"
 #include "model/bandwidth.hpp"
 
 namespace parfft::core {
@@ -223,6 +224,44 @@ StagePlan build_partial_stages(const std::array<int, 3>& n, int nranks,
     plan.stages.push_back(std::move(r));
   }
   return plan;
+}
+
+PackCost reshape_pack_cost(const gpu::DeviceSpec& device,
+                           const ReshapePlan& rp, int rank, int batch,
+                           Backend backend, double elem_bytes) {
+  PackCost c;
+  if (backend_is_datatype(backend)) return c;
+  auto fused = [&](const std::vector<Transfer>& list, const Box3& local) {
+    double t = 0;
+    for (const Transfer& tr : list)
+      t += gpu::pack_region_cost(
+          device, static_cast<double>(tr.region.count() * batch) * elem_bytes,
+          pack_contiguous_run(local, tr.region, elem_bytes));
+    if (!list.empty()) t += device.kernel_launch;
+    return t;
+  };
+  c.pack = fused(rp.sends(rank), rp.from()[static_cast<std::size_t>(rank)]);
+  c.unpack = fused(rp.recvs(rank), rp.to()[static_cast<std::size_t>(rank)]);
+  return c;
+}
+
+FftCost fft_axis_cost(const gpu::DeviceSpec& device, const Box3& box,
+                      int axis, int batch, bool contiguous_fft,
+                      gpu::PlanCache* cache) {
+  FftCost c;
+  if (box.empty()) return c;
+  const int len = static_cast<int>(box.size(axis));
+  const int lines = static_cast<int>(box.count() / len) * batch;
+  const bool reorder = axis != 2 && contiguous_fft;
+  const bool strided = axis != 2 && !contiguous_fft;
+  c.fft = cache != nullptr ? cache->fft_call(device, len, lines, strided)
+                           : gpu::fft_cost(device, len, lines, strided);
+  if (reorder) {
+    const double bytes =
+        static_cast<double>(box.count()) * batch * sizeof(cplx);
+    c.transpose = 2.0 * gpu::pack_cost(device, bytes, sizeof(cplx));
+  }
+  return c;
 }
 
 }  // namespace parfft::core

@@ -5,13 +5,15 @@
 /// decomposition, including input/output remaps from arbitrary brick grids
 /// and the FFT grid-shrinking feature. The result is pure data, consumed
 /// identically by the threaded executor (core/plan) and the at-scale
-/// simulator (core/simulate).
+/// simulator (core/simulate), which also share the per-rank kernel cost
+/// of each stage defined here.
 
 #include <array>
 #include <string>
 #include <vector>
 
 #include "core/reshape.hpp"
+#include "gpusim/device.hpp"
 #include "netsim/machine.hpp"
 #include "obs/tracer.hpp"
 
@@ -109,5 +111,34 @@ StagePlan build_partial_stages(const std::array<int, 3>& n, int nranks,
                                std::vector<Box3> out_boxes,
                                const std::vector<int>& axes,
                                const PlanOptions& opt);
+
+/// Device time one rank spends packing its sends and unpacking its
+/// receives for one reshape of `batch` transforms. Each side is the fused
+/// kernel of gpu::pack_region_cost: regions in send (recv) order, then one
+/// launch if the list is non-empty. Datatype backends (Alltoallw,
+/// Algorithm 2) pack nothing and cost zero. `elem_bytes` is the element
+/// size (complex by default; the real-to-complex stage moves doubles).
+struct PackCost {
+  double pack = 0;
+  double unpack = 0;
+};
+PackCost reshape_pack_cost(const gpu::DeviceSpec& device,
+                           const ReshapePlan& rp, int rank, int batch,
+                           Backend backend,
+                           double elem_bytes = sizeof(cplx));
+
+/// Device time of one rank's 1-D FFTs along `axis` of its `box`, for
+/// `batch` transforms. Axis 2 is contiguous in memory; other axes run
+/// strided, or, with heFFTe's reorder option (`contiguous_fft`),
+/// contiguous between two local transposes. With a `cache` the FFT is a
+/// first-call-aware plan lookup (Fig. 10's setup spike on a miss);
+/// without, plans are warm. An empty box costs nothing.
+struct FftCost {
+  double fft = 0;
+  double transpose = 0;  ///< both reorder transposes together
+};
+FftCost fft_axis_cost(const gpu::DeviceSpec& device, const Box3& box,
+                      int axis, int batch, bool contiguous_fft,
+                      gpu::PlanCache* cache = nullptr);
 
 }  // namespace parfft::core

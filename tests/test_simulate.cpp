@@ -4,6 +4,9 @@
 // configurations.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "common/random.hpp"
 #include "core/grids.hpp"
 #include "core/pack.hpp"
@@ -249,6 +252,65 @@ TEST(Simulate, SimulatorMatchesSimulateAndMemoizes) {
   EXPECT_DOUBLE_EQ(sim.transform_time(1), sim.transform_time(1));
   EXPECT_GT(sim.plan_setup_time(), 0)
       << "cold first transform must pay Fig. 10's plan-setup spike";
+}
+
+// Every execution path prices a stage's kernels with the same per-rank
+// functions, so at batch 1 (one chunk) the Fig. 13 pipeline must charge
+// exactly the sequential simulator's time on a balanced layout, for every
+// backend and for heFFTe's reorder (contiguous-FFT) option.
+class OverlapAtBatchOne
+    : public ::testing::TestWithParam<std::tuple<Backend, bool>> {};
+
+TEST_P(OverlapAtBatchOne, MatchesSequentialPrice) {
+  const auto [backend, contiguous] = GetParam();
+  SimConfig cfg = base_config(4, {32, 32, 32});
+  cfg.options.backend = backend;
+  cfg.options.contiguous_fft = contiguous;
+  Simulator sim(cfg);
+  const net::CommCost cost(cfg.machine,
+                           net::RankMap{cfg.machine.gpus_per_node},
+                           cfg.nranks);
+  const double overlapped = overlapped_batch_time(
+      sim.plan(), cfg.device, cost, net::TransferMode::GpuAware, cfg.flavor,
+      /*batch=*/1);
+  const double sequential = sim.transform_time(1);
+  EXPECT_NEAR(overlapped, sequential, 1e-12 * sequential);
+}
+
+std::string overlap_case_name(
+    const ::testing::TestParamInfo<std::tuple<Backend, bool>>& info) {
+  std::string name;
+  switch (std::get<0>(info.param)) {
+    case Backend::Alltoall: name = "Alltoall"; break;
+    case Backend::Alltoallv: name = "Alltoallv"; break;
+    case Backend::Alltoallw: name = "Alltoallw"; break;
+    case Backend::P2PBlocking: name = "P2PBlocking"; break;
+    case Backend::P2PNonBlocking: name = "P2PNonBlocking"; break;
+  }
+  return name + (std::get<1>(info.param) ? "_contiguous" : "_strided");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Simulate, OverlapAtBatchOne,
+    ::testing::Combine(::testing::Values(Backend::Alltoall,
+                                         Backend::Alltoallv,
+                                         Backend::Alltoallw,
+                                         Backend::P2PNonBlocking),
+                       ::testing::Bool()),
+    overlap_case_name);
+
+TEST(Simulate, AlltoallwOverlapChargesNoPack) {
+  // Algorithm 2 exchanges through sub-array datatypes and runs no pack
+  // kernel, so the batched pipeline's price cannot depend on the fused
+  // pack's per-region setup cost.
+  SimConfig cfg = base_config(4, {32, 32, 32});
+  cfg.options.backend = Backend::Alltoallw;
+  auto batch4 = [&](double setup_scale) {
+    SimConfig c = cfg;
+    c.device.pack_region_setup *= setup_scale;
+    return Simulator(c).transform_time(4);
+  };
+  EXPECT_EQ(batch4(1.0), batch4(10.0));
 }
 
 }  // namespace
